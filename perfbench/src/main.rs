@@ -515,7 +515,7 @@ fn serve_once(
 
 /// The body of a serve window: the warm-up batch (which ends `setup_s`,
 /// timed from `t0`), then the measured phases when `measure` is set.
-/// Returns when the driver closure finished, for `serve.close_ms`.
+/// Returns when the window closure finished, for `serve.close_ms`.
 fn serve_window<T: Target>(
     w: &mut Window<'_>,
     m: &mut Measured,
